@@ -1,0 +1,7 @@
+"""Put the program under test (``src``) on the path for the tests."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
